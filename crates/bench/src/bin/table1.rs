@@ -7,9 +7,9 @@
 //! traversal heuristic performs with two memory slots.
 //!
 //! The six graphs are seeded synthetic replicas matched to the paper's
-//! node/edge counts (DESIGN.md §5); expect the same magnitudes and the
-//! same ordering (degree-based beats sequential by ~5–15 %), not
-//! digit-exact values.
+//! node/edge counts (EXPERIMENTS.md, experiment T1); expect the same
+//! magnitudes and the same ordering (degree-based beats sequential by
+//! ~5–15 %), not digit-exact values.
 //!
 //! Usage: `table1 [--seed N] [--slots N] [--extended]`
 

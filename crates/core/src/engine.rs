@@ -232,9 +232,11 @@ impl KnnEngine {
     /// Computes the initial graph `G(0)` a fresh engine would start
     /// from: cluster-seeded when the config enables
     /// [`cluster_init`](EngineConfig::cluster_init) (running the
-    /// clustering pre-pass), uniform random otherwise. Used by drivers
-    /// (the sharded engine) that construct the engine through
-    /// [`with_initial_graph_on`](KnnEngine::with_initial_graph_on).
+    /// clustering pre-pass), uniform random otherwise. For callers that
+    /// build `G(0)` apart from the engine and hand it to
+    /// [`with_initial_graph_on`](KnnEngine::with_initial_graph_on),
+    /// which runs the pre-pass again; [`new_on`](KnnEngine::new_on)
+    /// runs it once for both.
     ///
     /// # Errors
     ///

@@ -10,7 +10,7 @@
 //! vertex set covers all edges). Per-dataset core parameters were
 //! calibrated so that the sequential-heuristic operation count and the
 //! degree-heuristic savings land in the paper's reported ranges. The
-//! substitution is documented in DESIGN.md §5.
+//! substitution is described under experiment T1 in EXPERIMENTS.md.
 //!
 //! ```
 //! use knn_datasets::Table1Dataset;

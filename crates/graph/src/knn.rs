@@ -2,7 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 use crate::neighbor::cmp_best_first;
 use crate::{DiGraph, GraphError, Neighbor, UserId};
@@ -55,14 +55,22 @@ impl KnnGraph {
     /// marked [`Neighbor::unscored`] so that any real similarity
     /// computed in iteration 1 displaces them.
     ///
-    /// Deterministic in `seed`.
+    /// Costs O(n·K): each vertex partially shuffles one persistent
+    /// pool of all ids, `min(k, n-1) + 1` random draws, so the
+    /// one-spare slot covers drawing the vertex itself. Deterministic
+    /// in `seed`; the same seed gives a different (equally uniform)
+    /// graph than the quadratic full-shuffle builder this replaced.
     ///
     /// # Panics
     ///
     /// Panics if `k == 0`.
     pub fn random_init(n: usize, k: usize, seed: u64) -> Self {
+        Self::random_init_from(n, k, &mut StdRng::seed_from_u64(seed))
+    }
+
+    /// [`random_init`](KnnGraph::random_init) over any generator.
+    fn random_init_from<R: RngCore>(n: usize, k: usize, rng: &mut R) -> Self {
         assert!(k > 0, "K must be positive");
-        let mut rng = StdRng::seed_from_u64(seed);
         let mut g = KnnGraph::new(n, k);
         if n <= 1 {
             return g;
@@ -70,16 +78,13 @@ impl KnnGraph {
         let take = k.min(n - 1);
         let mut pool: Vec<u32> = (0..n as u32).collect();
         for v in 0..n as u32 {
-            pool.shuffle(&mut rng);
-            let mut list = Vec::with_capacity(take);
-            for &c in pool.iter() {
-                if c != v {
-                    list.push(Neighbor::unscored(UserId::new(c)));
-                    if list.len() == take {
-                        break;
-                    }
-                }
-            }
+            let (sample, _) = pool.partial_shuffle(rng, take + 1);
+            let mut list: Vec<Neighbor> = sample
+                .iter()
+                .filter(|&&c| c != v)
+                .take(take)
+                .map(|&c| Neighbor::unscored(UserId::new(c)))
+                .collect();
             list.sort_by(cmp_best_first);
             g.lists[v as usize] = list;
         }
@@ -554,6 +559,73 @@ mod tests {
             KnnGraph::random_init(30, 4, 9),
             KnnGraph::random_init(30, 4, 10)
         );
+    }
+
+    /// Counts the 64-bit words drawn from the wrapped generator.
+    struct Counting {
+        inner: StdRng,
+        words: u64,
+    }
+
+    impl RngCore for Counting {
+        fn next_u64(&mut self) -> u64 {
+            self.words += 1;
+            self.inner.next_u64()
+        }
+    }
+
+    #[test]
+    fn random_init_draws_k_plus_one_per_vertex() {
+        // Two words per range draw, K + 1 draws per vertex: the cost
+        // depends on K, not on n.
+        for n in [50, 5000] {
+            let mut rng = Counting {
+                inner: StdRng::seed_from_u64(3),
+                words: 0,
+            };
+            let g = KnnGraph::random_init_from(n, 6, &mut rng);
+            assert_eq!(g.num_edges(), n * 6);
+            assert_eq!(rng.words, 2 * n as u64 * 7);
+        }
+    }
+
+    #[test]
+    fn random_init_targets_are_uniform() {
+        // Over many seeds each other vertex appears in a fixed vertex's
+        // list at rate K/(n-1); every count must sit within 4.5
+        // binomial standard deviations of it.
+        const N: usize = 21;
+        const K: usize = 4;
+        const SEEDS: u64 = 4000;
+        let p = K as f64 / (N - 1) as f64;
+        let expected = SEEDS as f64 * p;
+        let sigma = (expected * (1.0 - p)).sqrt();
+        for v in [0u32, 20] {
+            let mut hits = [0u64; N];
+            for seed in 0..SEEDS {
+                let g = KnnGraph::random_init(N, K, seed);
+                for nb in g.neighbors(UserId::new(v)) {
+                    hits[nb.id.index()] += 1;
+                }
+            }
+            assert_eq!(hits[v as usize], 0);
+            for (t, &h) in hits.iter().enumerate().filter(|&(t, _)| t != v as usize) {
+                assert!(
+                    (h as f64 - expected).abs() < 4.5 * sigma,
+                    "vertex {v} -> {t}: {h} hits, expected {expected:.0} ± {sigma:.0}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn random_init_builds_large_graphs_quickly() {
+        // 200k vertices are ~1.8M draws at O(n·K); a full shuffle per
+        // vertex would be 4·10^10.
+        let g = KnnGraph::random_init(200_000, 8, 1);
+        assert_eq!(g.num_edges(), 200_000 * 8);
+        let list = g.neighbors(UserId::new(199_999));
+        assert!(list.iter().all(|nb| nb.id != UserId::new(199_999)));
     }
 
     #[test]

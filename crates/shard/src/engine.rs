@@ -185,6 +185,39 @@ impl ShardedEngine {
         profiles: ProfileStore,
         shards: Vec<Arc<dyn StorageBackend>>,
     ) -> Result<Self, EngineError> {
+        Self::assemble(config, shards, |config, router| {
+            KnnEngine::with_initial_graph_on(config, graph, profiles, router)
+        })
+    }
+
+    /// Reopens a sharded engine from shard backends previously
+    /// populated by a sharded constructor **with the same shard
+    /// count** (stream placement is a pure function of the ring). With
+    /// [`EngineConfig::commit_protocol`] on, crash recovery runs first
+    /// — through the router, so every shard's streams converge to the
+    /// common committed generation before any state is trusted (the
+    /// commit record lives on shard 0; each staged backup lives with
+    /// its target's owner).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`KnnEngine::resume_on`], plus an input error for zero
+    /// shards or the legacy tuple pipeline.
+    pub fn resume_on(
+        config: EngineConfig,
+        shards: Vec<Arc<dyn StorageBackend>>,
+    ) -> Result<Self, EngineError> {
+        Self::assemble(config, shards, KnnEngine::resume_on)
+    }
+
+    /// The shared constructor core: validates the shard set, builds the
+    /// inner engine over a router across `shards` with `build`, then
+    /// installs the sharded phase 2 and the summed I/O meter.
+    fn assemble(
+        config: EngineConfig,
+        shards: Vec<Arc<dyn StorageBackend>>,
+        build: impl FnOnce(EngineConfig, Arc<dyn StorageBackend>) -> Result<KnnEngine, EngineError>,
+    ) -> Result<Self, EngineError> {
         if shards.is_empty() {
             return Err(EngineError::input(
                 "a sharded engine needs at least one shard",
@@ -197,12 +230,7 @@ impl ShardedEngine {
         }
         let ring = Arc::new(HashRing::new(shards.len()));
         let router = Arc::new(ShardRouter::new(shards.clone(), Arc::clone(&ring)));
-        let mut inner = KnnEngine::with_initial_graph_on(
-            config,
-            graph,
-            profiles,
-            Arc::clone(&router) as Arc<dyn StorageBackend>,
-        )?;
+        let mut inner = build(config, Arc::clone(&router) as Arc<dyn StorageBackend>)?;
 
         let exchange = Arc::new(Mutex::new(ExchangeStats::default()));
         let fabric: Arc<dyn ExchangeFabric> = Arc::new(ChannelFabric::new(shards.len()));
@@ -237,65 +265,6 @@ impl ShardedEngine {
         })
     }
 
-    /// Reopens a sharded engine from shard backends previously
-    /// populated by a sharded constructor **with the same shard
-    /// count** (stream placement is a pure function of the ring). With
-    /// [`EngineConfig::commit_protocol`] on, crash recovery runs first
-    /// — through the router, so every shard's streams converge to the
-    /// common committed generation before any state is trusted (the
-    /// commit record lives on shard 0; each staged backup lives with
-    /// its target's owner).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`KnnEngine::resume_on`], plus an input error for zero
-    /// shards or the legacy tuple pipeline.
-    pub fn resume_on(
-        config: EngineConfig,
-        shards: Vec<Arc<dyn StorageBackend>>,
-    ) -> Result<Self, EngineError> {
-        if shards.is_empty() {
-            return Err(EngineError::input(
-                "a sharded engine needs at least one shard",
-            ));
-        }
-        if config.legacy_tuple_pipeline() {
-            return Err(EngineError::input(
-                "the sharded engine supports only the columnar tuple pipeline",
-            ));
-        }
-        let ring = Arc::new(HashRing::new(shards.len()));
-        let router = Arc::new(ShardRouter::new(shards.clone(), Arc::clone(&ring)));
-        let mut inner =
-            KnnEngine::resume_on(config, Arc::clone(&router) as Arc<dyn StorageBackend>)?;
-
-        let exchange = Arc::new(Mutex::new(ExchangeStats::default()));
-        let fabric: Arc<dyn ExchangeFabric> = Arc::new(ChannelFabric::new(shards.len()));
-        inner.set_phase2_provider(Some(Box::new(ShardedPhase2 {
-            shards: shards.clone(),
-            ring: Arc::clone(&ring),
-            fabric,
-            exchange: Arc::clone(&exchange),
-        })));
-        let meters: Vec<Arc<knn_store::IoStats>> = shards
-            .iter()
-            .map(|s| Arc::clone(s.stats()))
-            .chain(std::iter::once(Arc::clone(router.stats())))
-            .collect();
-        inner.set_io_meter(Some(Arc::new(move || {
-            meters.iter().map(|m| m.snapshot()).sum()
-        })));
-
-        Ok(ShardedEngine {
-            inner,
-            shards,
-            router,
-            ring,
-            exchange,
-            reports: Vec::new(),
-        })
-    }
-
     /// Random-initial-graph constructor over explicit shard backends.
     ///
     /// # Errors
@@ -306,8 +275,11 @@ impl ShardedEngine {
         profiles: ProfileStore,
         shards: Vec<Arc<dyn StorageBackend>>,
     ) -> Result<Self, EngineError> {
-        let graph = KnnEngine::initial_graph(&config, &profiles)?;
-        Self::with_initial_graph_on(config, graph, profiles, shards)
+        // KnnEngine::new_on runs the clustering pre-pass once and feeds
+        // it to both G(0) and the layout.
+        Self::assemble(config, shards, |config, router| {
+            KnnEngine::new_on(config, profiles, router)
+        })
     }
 
     /// A fully in-memory sharded engine: `num_shards` [`MemBackend`]s.

@@ -5,7 +5,8 @@
 //!
 //! * [`rngs::StdRng`] + [`SeedableRng::seed_from_u64`]
 //! * [`Rng::random_range`] over half-open integer and float ranges
-//! * [`seq::SliceRandom::shuffle`]
+//! * [`seq::SliceRandom::shuffle`] and
+//!   [`seq::SliceRandom::partial_shuffle`]
 //!
 //! The generator is xoshiro256++ seeded via SplitMix64 — deterministic
 //! in the seed and identical on every platform, which is all the
@@ -174,6 +175,21 @@ pub mod seq {
         /// Uniform in-place Fisher–Yates shuffle.
         fn shuffle<R: RngCore>(&mut self, rng: &mut R);
 
+        /// Shuffles only enough of the slice to fill its first `amount`
+        /// positions with a uniform random ordered sample of distinct
+        /// elements, and returns `(sample, rest)`. Costs exactly
+        /// `min(amount, len)` range draws, however long the slice is,
+        /// and the sample is uniform whatever order the slice held.
+        ///
+        /// Mirrors `rand::seq::SliceRandom::partial_shuffle`'s
+        /// signature; the real crate fills the sample from the back of
+        /// the slice, this shim from the front.
+        fn partial_shuffle<R: RngCore>(
+            &mut self,
+            rng: &mut R,
+            amount: usize,
+        ) -> (&mut [Self::Item], &mut [Self::Item]);
+
         /// A uniformly chosen element, or `None` on an empty slice.
         fn choose<R: RngCore>(&self, rng: &mut R) -> Option<&Self::Item>;
     }
@@ -186,6 +202,19 @@ pub mod seq {
                 let j = rng.random_range(0..i + 1);
                 self.swap(i, j);
             }
+        }
+
+        fn partial_shuffle<R: RngCore>(
+            &mut self,
+            rng: &mut R,
+            amount: usize,
+        ) -> (&mut [T], &mut [T]) {
+            let amount = amount.min(self.len());
+            for i in 0..amount {
+                let j = rng.random_range(i..self.len());
+                self.swap(i, j);
+            }
+            self.split_at_mut(amount)
         }
 
         fn choose<R: RngCore>(&self, rng: &mut R) -> Option<&T> {
@@ -202,7 +231,27 @@ pub mod seq {
 mod tests {
     use super::rngs::StdRng;
     use super::seq::SliceRandom;
-    use super::{Rng, SeedableRng};
+    use super::{Rng, RngCore, SeedableRng};
+
+    /// Counts the 64-bit words drawn from the wrapped generator.
+    struct Counting {
+        inner: StdRng,
+        words: u64,
+    }
+
+    impl RngCore for Counting {
+        fn next_u64(&mut self) -> u64 {
+            self.words += 1;
+            self.inner.next_u64()
+        }
+    }
+
+    fn counting(seed: u64) -> Counting {
+        Counting {
+            inner: StdRng::seed_from_u64(seed),
+            words: 0,
+        }
+    }
 
     #[test]
     fn deterministic_in_seed() {
@@ -264,5 +313,71 @@ mod tests {
             seen.insert(*v.choose(&mut rng).unwrap());
         }
         assert_eq!(seen.len(), 3);
+    }
+
+    #[test]
+    fn partial_shuffle_draws_once_per_sampled_slot() {
+        // One integer range draw is two 64-bit words; a full shuffle of
+        // the same slice would take 999 draws.
+        let words_per_draw = {
+            let mut rng = counting(5);
+            rng.random_range(0usize..7);
+            rng.words
+        };
+        for amount in [0, 1, 8, 64] {
+            let mut rng = counting(5);
+            let mut v: Vec<u32> = (0..1000).collect();
+            let (head, rest) = v.partial_shuffle(&mut rng, amount);
+            assert_eq!((head.len(), rest.len()), (amount, 1000 - amount));
+            assert_eq!(rng.words, amount as u64 * words_per_draw);
+        }
+        // An amount past the end is clamped to the slice.
+        let mut rng = counting(6);
+        let mut v: Vec<u32> = (0..5).collect();
+        assert_eq!(v.partial_shuffle(&mut rng, 9).0.len(), 5);
+        assert_eq!(rng.words, 5 * words_per_draw);
+    }
+
+    #[test]
+    fn partial_shuffle_keeps_a_permutation_with_a_distinct_prefix() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut v: Vec<u32> = (0..40).collect();
+        for amount in [1, 5, 39, 40] {
+            let (head, _) = v.partial_shuffle(&mut rng, amount);
+            let mut prefix = head.to_vec();
+            prefix.sort_unstable();
+            prefix.dedup();
+            assert_eq!(prefix.len(), amount, "prefix repeats an element");
+            let mut all = v.clone();
+            all.sort_unstable();
+            assert_eq!(all, (0..40).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn partial_shuffle_reaches_every_prefix_slot_from_every_element() {
+        // Starting from the identity each time, every element must land
+        // in every one of the sampled slots, about equally often.
+        const N: usize = 6;
+        const AMOUNT: usize = 3;
+        const TRIALS: usize = 6000;
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut hits = [[0usize; AMOUNT]; N];
+        for _ in 0..TRIALS {
+            let mut v: Vec<usize> = (0..N).collect();
+            let (head, _) = v.partial_shuffle(&mut rng, AMOUNT);
+            for (slot, &e) in head.iter().enumerate() {
+                hits[e][slot] += 1;
+            }
+        }
+        let expected = TRIALS / N;
+        for (e, row) in hits.iter().enumerate() {
+            for (slot, &h) in row.iter().enumerate() {
+                assert!(
+                    h.abs_diff(expected) * 5 < expected,
+                    "element {e} in slot {slot}: {h} hits, expected ~{expected}"
+                );
+            }
+        }
     }
 }

@@ -276,15 +276,20 @@ impl StorageBackend for FaultBackend {
     fn write(&self, stream: StreamId, payload: &[u8]) -> Result<(), StoreError> {
         let framed = record_file::frame(payload);
         self.gate_write(Some(stream), &framed, || self.inner.describe(stream))?;
-        // Store the exact frame we gated on (write_raw == write for an
-        // intact frame), so torn and intact paths share one encoder.
-        self.inner.write_raw(stream, &framed)
+        // An intact write goes through the inner `write`, so it is
+        // metered (spill included) exactly as on the bare backend.
+        self.inner.write(stream, payload)
     }
 
     fn write_raw(&self, stream: StreamId, framed: &[u8]) -> Result<(), StoreError> {
         self.gate_write(Some(stream), framed, || self.inner.describe(stream))?;
         self.inner.write_raw(stream, framed)
     }
+
+    // `copy_stream` keeps the trait's default read + write: one copy
+    // is two gated operations, as it always was, so the crash indices
+    // of a plan (and with them every harness's kill points) stay put
+    // even though the bare backends copy natively.
 
     fn delete(&self, stream: StreamId) -> Result<(), StoreError> {
         if self.lock().dead {

@@ -464,6 +464,52 @@ fn transient_fault_storms_are_absorbed_by_the_retry_policy() {
     }
 }
 
+/// A disarmed fault wrapper is invisible to the meters: a spilling
+/// schedule behind it reports the same `IoStats` as on the bare
+/// backend, spill bytes and runs included.
+#[test]
+fn a_disarmed_fault_backend_meters_like_the_bare_backend() {
+    let spilling = || {
+        EngineConfig::builder(N)
+            .k(K)
+            .num_partitions(M)
+            .measure(Measure::Cosine)
+            .prune_pairs(false)
+            .spill_threshold(4)
+            .seed(SEED)
+            .build()
+            .expect("config")
+    };
+    let run = |backend: Arc<dyn StorageBackend>| {
+        let mut engine = KnnEngine::new_on(spilling(), workload(), backend).expect("build");
+        while engine.iteration() < ITERS {
+            engine
+                .queue_update(&update_for(engine.iteration()))
+                .expect("queue");
+            engine.run_iteration().expect("iteration");
+        }
+        engine
+    };
+    let bare = run(Arc::new(MemBackend::new()));
+    let fault = Arc::new(FaultBackend::new(
+        Arc::new(MemBackend::new()) as Arc<dyn StorageBackend>
+    ));
+    fault.set_plan(FaultPlan {
+        fail_at: u64::MAX,
+        kind: FaultKind::Crash,
+        seed: SEED,
+    });
+    let wrapped = run(Arc::clone(&fault) as Arc<dyn StorageBackend>);
+
+    let io = bare.io_snapshot();
+    assert!(
+        io.spill_bytes > 0 && io.spill_runs > 0,
+        "schedule must spill"
+    );
+    assert_eq!(wrapped.io_snapshot(), io);
+    assert_eq!(wrapped.graph(), bare.graph());
+}
+
 /// A pre-protocol working directory (no commit record, no staged
 /// streams) resumes under the protocol untouched, and the first
 /// committed iteration upgrades it in place.
